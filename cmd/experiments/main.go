@@ -134,7 +134,7 @@ func printTiming(selected []bench.Experiment, results []outcome, jobs int) {
 }
 
 // printPhases renders the instrumented per-phase timers (solver phases,
-// claw detection, ...) accumulated across every experiment that ran.
+// engine runs, ...) accumulated across every experiment that ran.
 func printPhases() {
 	snap := obs.Default.Snapshot()
 	names := make([]string, 0, len(snap.Timers))

@@ -24,10 +24,11 @@ import (
 const MaxStride = 4096
 
 // scopedPkgs are the packages whose loops do search expansion — the TSP
-// and solver search trees, the graph package's claw-scan kernel, and
-// (since the service landed) the serve package's retry/arrival loops
-// and the scheme cache's CLOCK eviction sweep: all carry faultinject
-// checkpoints and must stay cancellable under the same discipline.
+// and solver search trees, the graph package's kernels (none has a
+// checkpoint today), and (since the service landed) the serve package's
+// retry/arrival loops and the scheme cache's CLOCK eviction sweep: every
+// faultinject checkpoint in them must stay cancellable under the same
+// discipline.
 var scopedPkgs = map[string]bool{
 	"joinpebble/internal/tsp":         true,
 	"joinpebble/internal/solver":      true,

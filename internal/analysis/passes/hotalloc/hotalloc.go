@@ -1,7 +1,8 @@
 // Package hotalloc enforces the allocation-free contract of functions
-// annotated `//joinpebble:hotpath` — the CSR adjacency lookup, the claw
-// scan, the zigzag emission kernel, and the disarmed faultinject.Fire
-// path, whose per-call costs the bench regression baselines pin.
+// annotated `//joinpebble:hotpath` — the CSR adjacency lookup, the
+// canonical fingerprint kernels, the zigzag emission kernel, and the
+// disarmed faultinject.Fire path, whose per-call costs the bench
+// regression baselines pin.
 //
 // The check is intraprocedural: the annotated body itself must contain
 // no allocating construct. Callees are not followed — a hot path that

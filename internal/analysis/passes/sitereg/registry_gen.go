@@ -6,7 +6,6 @@ package sitereg
 var Registry = map[string]bool{
 	"bench/disarmed-site": true,
 	"engine/rung":         true,
-	"graph/clawscan":      true,
 	"schemecache/corrupt": true,
 	"schemecache/lookup":  true,
 	"serve/admit":         true,

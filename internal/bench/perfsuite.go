@@ -1,13 +1,9 @@
 package bench
 
 // PerfSuite pins the hot-path benchmarks that cmd/bench measures and
-// regression-checks. Every case exists in two arms selected by the legacy
-// flag: the "new" arm exercises the compact-index code paths (frozen CSR
-// lookups, implicit line-graph views, parallel component solving) and the
-// "legacy" arm the pre-optimization ones (map lookups, materialized
-// map-backed line graphs, sequential solving). Series names are identical
-// across arms so a legacy BENCH_*-legacy.json diffs cleanly against a
-// current one — that pair is the before/after evidence for the rewrite.
+// regression-checks: line-graph construction, the Theorem 3.1 path
+// partition, equijoin solving, scheme simulation, fingerprinting, the
+// scheme cache and frozen edge probes.
 //
 // Workloads are deterministic (fixed seeds, fixed families) so ns/op is
 // the only thing that varies between runs.
@@ -61,21 +57,8 @@ func multiComponent(k, n, m int) *graph.Graph {
 	return out
 }
 
-// solveArm configures the solver arm: sequential + materialized line
-// graphs for legacy, parallel + implicit views otherwise. It returns a
-// restore func for the package-level Parallelism knob.
-func solveArm(legacy bool) (solver.Approx125, func()) {
-	prev := solver.Parallelism
-	if legacy {
-		solver.Parallelism = 1
-	} else {
-		solver.Parallelism = 0
-	}
-	return solver.Approx125{Materialize: legacy}, func() { solver.Parallelism = prev }
-}
-
 // costRatio runs s once on g and returns π̂/m — recorded as a series Extra
-// so the perf arms are provably solving equally well, not just fast.
+// so a faster series is provably solving equally well.
 func costRatio(s solver.Solver, g *graph.Graph) float64 {
 	_, cost, err := solver.SolveAndVerify(s, g.Clone())
 	if err != nil {
@@ -85,41 +68,14 @@ func costRatio(s solver.Solver, g *graph.Graph) float64 {
 }
 
 // SmokeSuite returns reduced-size kernel benchmarks for CI smoke runs:
-// the bitset claw scan (sequential and parallel) and the arena-backed
-// approx-1.25 at a fraction of the pinned workload sizes. Series names
+// fingerprinting, a scheme-cache hit and the arena-backed approx-1.25 at
+// a fraction of the pinned workload sizes. Series names
 // carry a smoke- prefix so they never match — and never stand in for —
 // the pinned regression series; the point is catching kernel rot
 // (panics, wrong answers, fallback misfires) in seconds, not timing.
 func SmokeSuite() []PerfCase {
-	spider := family.Spider(200).Graph()  // m = 400
-	spiderP := family.Spider(300).Graph() // m = 600: line graph n >= parallel floor
+	spider := family.Spider(200).Graph() // m = 400
 	return []PerfCase{
-		{
-			Name: "smoke-clawfree-linegraph/spider-200-m400",
-			Run: func(b *testing.B) {
-				scratch := graph.NewClawScratch()
-				for i := 0; i < b.N; i++ {
-					if !graph.ClawFreeLineGraphScratch(spider.Clone(), scratch) {
-						b.Fatal("spider line graph must be claw-free")
-					}
-				}
-			},
-		},
-		{
-			Name: "smoke-clawfree-parallel/spider-300-m600",
-			Run: func(b *testing.B) {
-				prev := solver.Parallelism
-				solver.Parallelism = 4 // engage the parallel claw scan
-				defer func() { solver.Parallelism = prev }()
-				scratch := graph.NewClawScratch()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !graph.ClawFreeLineGraphScratch(spiderP.Clone(), scratch) {
-						b.Fatal("spider line graph must be claw-free")
-					}
-				}
-			},
-		},
 		{
 			Name: "smoke-canon-fingerprint/spider-200-m400",
 			Run: func(b *testing.B) {
@@ -153,9 +109,7 @@ func SmokeSuite() []PerfCase {
 		{
 			Name: "smoke-approx125/spider-200-m400",
 			Run: func(b *testing.B) {
-				s, restore := solveArm(false)
-				defer restore()
-				b.ResetTimer()
+				var s solver.Approx125
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(spider.Clone()); err != nil {
 						b.Fatal(err)
@@ -166,9 +120,9 @@ func SmokeSuite() []PerfCase {
 	}
 }
 
-// PerfSuite returns the pinned benchmark cases for one arm.
-func PerfSuite(legacy bool) []PerfCase {
-	spider := family.Spider(1000).Graph() // m = 2000, claw-free line graph
+// PerfSuite returns the pinned benchmark cases.
+func PerfSuite() []PerfCase {
+	spider := family.Spider(1000).Graph() // m = 2000
 	bip := perfBipartite(60, 40, 2400)    // dense bipartite, m = 2400
 	wide := perfBipartite(100, 100, 3000) // sparser bipartite, m = 3000
 	multi := multiComponent(8, 120, 300)  // 8 components, m = 2400 total
@@ -180,13 +134,12 @@ func PerfSuite(legacy bool) []PerfCase {
 		return out
 	}()
 
-	approxSpider, restore := solveArm(legacy)
-	ratioSpider := costRatio(approxSpider, spider)
-	ratioBip := costRatio(approxSpider, bip)
+	var approx solver.Approx125
+	ratioSpider := costRatio(approx, spider)
+	ratioBip := costRatio(approx, bip)
 	ratioEqui := costRatio(solver.Equijoin{}, equi)
-	restore()
 
-	// A long valid scheme for the simulate workload, fixed per arm.
+	// A long valid scheme for the simulate workload.
 	simScheme, _, err := solver.SolveAndVerify(solver.Naive{}, bip.Clone())
 	if err != nil {
 		panic("bench: naive scheme failed: " + err.Error())
@@ -197,12 +150,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "linegraph/spider-1000-m2000",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					g := spider.Clone()
-					if legacy {
-						graph.LineGraphReference(g)
-					} else {
-						graph.LineGraph(g)
-					}
+					graph.LineGraph(spider.Clone())
 				}
 			},
 		},
@@ -210,37 +158,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "linegraph/bip-60x40-m2400",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					g := bip.Clone()
-					if legacy {
-						graph.LineGraphReference(g)
-					} else {
-						graph.LineGraph(g)
-					}
-				}
-			},
-		},
-		{
-			Name: "clawfree-linegraph/spider-1000-m2000",
-			Run: func(b *testing.B) {
-				// The legacy arm pins the scalar HasEdge-probe kernel over a
-				// materialized map-backed line graph; the new arm runs the
-				// bitset kernel over the implicit view with scratch reused
-				// across scans, as the solver ladder does.
-				scratch := graph.NewClawScratch()
-				for i := 0; i < b.N; i++ {
-					g := spider.Clone()
-					var free bool
-					if legacy {
-						lg := graph.LineGraphReference(g)
-						lg.Freeze()
-						_, _, claw := graph.FindClawScalar(lg, nil)
-						free = !claw
-					} else {
-						free = graph.ClawFreeLineGraphScratch(g, scratch)
-					}
-					if !free {
-						b.Fatal("spider line graph must be claw-free")
-					}
+					graph.LineGraph(bip.Clone())
 				}
 			},
 		},
@@ -248,11 +166,8 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "approx125/spider-1000-m2000",
 			Extra: map[string]float64{"cost_ratio": ratioSpider},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
-				defer restore()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(spider.Clone()); err != nil {
+					if _, err := approx.Solve(spider.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -262,11 +177,8 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "approx125/bip-60x40-m2400",
 			Extra: map[string]float64{"cost_ratio": ratioBip},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
-				defer restore()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(bip.Clone()); err != nil {
+					if _, err := approx.Solve(bip.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -276,11 +188,8 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "solve-multicomponent/approx125-8x300",
 			Extra: map[string]float64{"components": 8},
 			Run: func(b *testing.B) {
-				s, restore := solveArm(legacy)
-				defer restore()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(multi.Clone()); err != nil {
+					if _, err := approx.Solve(multi.Clone()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -290,10 +199,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name:  "equijoin/islands-12xK10-40-m4800",
 			Extra: map[string]float64{"cost_ratio": ratioEqui},
 			Run: func(b *testing.B) {
-				_, restore := solveArm(legacy)
-				defer restore()
-				s := solver.Equijoin{}
-				b.ResetTimer()
+				var s solver.Equijoin
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Solve(equi.Clone()); err != nil {
 						b.Fatal(err)
@@ -304,13 +210,10 @@ func PerfSuite(legacy bool) []PerfCase {
 		{
 			Name: "simulate/bip-60x40-m2400",
 			Run: func(b *testing.B) {
-				// Preparation differs by design: frozen CSR vs plain map
-				// graph. Simulating is the repeated operation, so only it
-				// is timed.
+				// Simulating is the repeated operation, so freezing the
+				// graph is not timed.
 				g := bip.Clone()
-				if !legacy {
-					g.Freeze()
-				}
+				g.Freeze()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := core.Simulate(g, simScheme)
@@ -413,9 +316,7 @@ func PerfSuite(legacy bool) []PerfCase {
 			Name: "hasedge/bip-100x100-m3000",
 			Run: func(b *testing.B) {
 				g := wide.Clone()
-				if !legacy {
-					g.Freeze()
-				}
+				g.Freeze()
 				n := g.N()
 				b.ResetTimer()
 				hits := 0

@@ -41,10 +41,11 @@ type Report struct {
 	Date       string `json:"date"` // YYYY-MM-DD
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Legacy marks a report produced with the pre-optimization code paths
+	// Legacy marks a report produced by the retired pre-optimization arm
 	// (map-backed line graphs, unfrozen lookups, sequential solving).
-	// Legacy reports are never auto-picked as baselines; they exist as the
-	// "before" arm of a before/after pair.
+	// Nothing writes it any more; it is still read so the committed
+	// BENCH_*-legacy.json "before" reports are never auto-picked as
+	// baselines.
 	Legacy bool `json:"legacy,omitempty"`
 	// Smoke marks a reduced-size kernel smoke run (cmd/bench -smoke).
 	// Smoke reports use distinct series names and are never auto-picked
@@ -56,7 +57,7 @@ type Report struct {
 	Serve  bool     `json:"serve,omitempty"`
 	Series []Series `json:"series"`
 	// Metrics is the instrumentation snapshot taken after the suite ran —
-	// counters like pebble acquisitions and claw checks alongside the
+	// counters like pebble acquisitions and path pieces alongside the
 	// timings, so a report records what the suite did, not just how fast.
 	// Optional; omitted by readers of older reports. Its presence does not
 	// bump SchemaVersion because consumers ignore unknown fields.

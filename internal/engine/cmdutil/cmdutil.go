@@ -11,6 +11,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -93,7 +94,8 @@ const DefaultCacheSize = "64MiB"
 
 // BindFlags registers the shared observability and scheme-cache flags
 // on fs. pprof is only offered to the long-running commands
-// (experiments, bench); the one-shot commands pass withPProf=false.
+// (experiments, bench, pebbled); the one-shot commands pass
+// withPProf=false.
 func BindFlags(fs *flag.FlagSet, cmd string, withPProf bool) *Obs {
 	o := &Obs{cmd: cmd}
 	fs.StringVar(&o.Metrics, "metrics", "", "write the metrics snapshot as JSON to this file")
@@ -110,6 +112,7 @@ func BindFlags(fs *flag.FlagSet, cmd string, withPProf bool) *Obs {
 // ParseByteSize parses a human byte-size string: a non-negative number
 // with an optional KB/MB/GB (decimal) or KiB/MiB/GiB (binary) suffix,
 // or a bare byte count. Case-insensitive; "B" is accepted as bytes.
+// Sizes beyond math.MaxInt64 bytes are rejected rather than wrapped.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	mult := int64(1)
@@ -130,6 +133,9 @@ func ParseByteSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(t, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("invalid byte size %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows int64", s)
 	}
 	return n * mult, nil
 }

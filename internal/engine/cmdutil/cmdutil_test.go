@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,5 +91,64 @@ func TestFinishTraceWithoutTracer(t *testing.T) {
 	obs.SetTracer(nil)
 	if err := o.Finish(); err == nil {
 		t.Fatal("Finish with -trace but no tracer must error")
+	}
+}
+
+func TestParseByteSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"4096", 4096, true},
+		{"12B", 12, true},
+		{"2KB", 2e3, true},
+		{"3MB", 3e6, true},
+		{"4GB", 4e9, true},
+		{"2KiB", 2 << 10, true},
+		{"3MiB", 3 << 20, true},
+		{"4GiB", 4 << 30, true},
+		{"64mib", 64 << 20, true},
+		{"1gB", 1e9, true},
+		{"  8 KiB  ", 8 << 10, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"9007199254740991KiB", 9007199254740991 << 10, true},
+		{"", 0, false},
+		{"KiB", 0, false},
+		{"-1", 0, false},
+		{"-1MiB", 0, false},
+		{"1.5MiB", 0, false},
+		{"12XB", 0, false},
+		{"lots", 0, false},
+		{"9223372036854775808", 0, false},
+		{"9007199254740992KiB", 0, false},
+		{"9223372036854775807KiB", 0, false},
+		{"10000000000GiB", 0, false},
+		{"10000000000GB", 0, false},
+	} {
+		got, err := ParseByteSize(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseByteSize(%q) = %d, want an error", tc.in, got)
+		}
+	}
+}
+
+// TestCacheSizeOverflowIsUsageError: an overflowing -cache-size must be
+// a usage error (exit 2), never a wrapped negative cache capacity.
+func TestCacheSizeOverflowIsUsageError(t *testing.T) {
+	for _, size := range []string{"10000000000GiB", "9223372036854775807KiB"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		o := BindFlags(fs, "test", false)
+		if err := fs.Parse([]string{"-cache-size", size}); err != nil {
+			t.Fatal(err)
+		}
+		err := o.Start()
+		if code := ExitCode(err); code != 2 {
+			t.Fatalf("-cache-size %s: Start() = %v (exit %d), want a usage error (exit 2)", size, err, code)
+		}
 	}
 }

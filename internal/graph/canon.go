@@ -39,8 +39,8 @@ package graph
 //
 // The refinement and hashing kernels carry the //joinpebble:hotpath
 // contract and run entirely on CanonScratch buffers, in the arena style
-// of the claw-scan kernels: one scratch reused across calls means the
-// steady-state per-fingerprint allocation is the returned labeling
+// of the solver's path partition: one scratch reused across calls means
+// the steady-state per-fingerprint allocation is the returned labeling
 // alone.
 
 import (

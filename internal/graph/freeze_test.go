@@ -168,18 +168,6 @@ func TestLineGraphViewMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestFindClawAgreement: claw detection through the view must agree with
-// detection on the materialized line graph.
-func TestFindClawAgreement(t *testing.T) {
-	for gi, g := range randomGraphs(t) {
-		_, _, matClaw := FindClaw(LineGraphReference(g.Clone()))
-		viewFree := ClawFreeLineGraph(g.Clone())
-		if viewFree != !matClaw {
-			t.Fatalf("graph %d: view says claw-free=%v, materialized says claw present=%v", gi, viewFree, matClaw)
-		}
-	}
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate used throughout joinpebble:
 // general undirected graphs, bipartite join graphs, traversals, line
-// graphs, incidence graphs and the small structural predicates (claw
-// detection, Hamiltonian-path search) that the paper's arguments rest on.
+// graphs, incidence graphs and the Hamiltonian-path searches that the
+// paper's arguments rest on.
 //
 // Vertices are dense integers 0..N()-1. Edges are unordered pairs,
 // deduplicated, and indexed 0..M()-1 in insertion order; the edge index is
@@ -54,7 +54,7 @@ func (e Edge) SharesEndpoint(f Edge) bool {
 // a map[Edge]int — supports AddEdge/AddVertex. Freeze (or, internally,
 // Optimize) additionally builds a compact CSR-style index that turns the
 // adjacency tests and incident-edge queries on the hot paths (line-graph
-// construction, claw search, scheme simulation) into allocation-free
+// construction, the path partition, scheme simulation) into allocation-free
 // array reads. A frozen graph rejects mutation and is safe for concurrent
 // readers.
 type Graph struct {

@@ -3,8 +3,25 @@ package graph
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
+
+// LineGraphReference is the straightforward map-backed line-graph
+// construction: the oracle the differential tests compare LineGraph and
+// LineGraphView against. It is exported so the external graph_test
+// package can use it too.
+func LineGraphReference(g *Graph) *Graph {
+	m := g.M()
+	lg := New(m)
+	for v := 0; v < g.N(); v++ {
+		inc := g.IncidentEdges(v)
+		for i := 0; i < len(inc); i++ {
+			for j := i + 1; j < len(inc); j++ {
+				lg.AddEdge(inc[i], inc[j])
+			}
+		}
+	}
+	return lg
+}
 
 func TestLineGraphOfPath(t *testing.T) {
 	// L(path with m edges) = path with m-1 edges.
@@ -47,40 +64,6 @@ func TestLineGraphEdgeCount(t *testing.T) {
 		}
 		if lg.M() != want {
 			t.Fatalf("trial %d: |E(L)|=%d want %d", trial, lg.M(), want)
-		}
-	}
-}
-
-func TestLineGraphClawFree(t *testing.T) {
-	// Harary: line graphs never contain an induced K_{1,3}. This is the
-	// structural fact behind Theorem 3.1's DFS construction.
-	rng := rand.New(rand.NewSource(5))
-	cfg := &quick.Config{MaxCount: 60, Rand: rng}
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nl, nr := 3+r.Intn(4), 3+r.Intn(4)
-		minM, maxM := nl+nr-1, nl*nr
-		m := minM + r.Intn(maxM-minM+1)
-		b := RandomConnectedBipartite(r, nl, nr, m)
-		return ClawFree(LineGraph(b.Graph()))
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFindClawOnStar(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	center, leaves, ok := FindClaw(g)
-	if !ok || center != 0 {
-		t.Fatalf("K_{1,3} should contain a claw at 0, got ok=%v center=%d", ok, center)
-	}
-	for _, l := range leaves {
-		if !g.HasEdge(0, l) {
-			t.Fatal("claw leaf not adjacent to center")
 		}
 	}
 }

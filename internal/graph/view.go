@@ -2,7 +2,7 @@ package graph
 
 // Adjacency is a read-only neighborhood oracle over vertices 0..N()-1 —
 // the minimal interface the structural algorithms (the Theorem 3.1 DFS
-// partition, claw search, small Hamiltonian searches) need. *Graph
+// partition, small Hamiltonian searches) need. *Graph
 // implements it directly; LineGraphView implements it for L(G) without
 // materializing the line graph.
 type Adjacency interface {

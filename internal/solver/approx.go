@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"joinpebble/internal/bitset"
 	"joinpebble/internal/core"
 	"joinpebble/internal/graph"
 	"joinpebble/internal/obs"
@@ -45,14 +44,6 @@ type Approx125 struct {
 	// be a path and the construction legitimately fails on some inputs
 	// (Solve returns an error); never set it outside experiments.
 	SkipTwinElimination bool
-
-	// Materialize makes the construction run over an explicitly built
-	// map-backed line graph (graph.LineGraphReference) instead of the
-	// implicit graph.LineGraphView. The view is strictly cheaper — it
-	// avoids the O(Σ deg²) line-graph edge set entirely — so this knob
-	// exists only for differential tests and the legacy arm of
-	// cmd/bench's before/after measurements.
-	Materialize bool
 }
 
 // The two display names, as constants so they can double as root span
@@ -78,7 +69,7 @@ func (a Approx125) Solve(g *graph.Graph) (core.Scheme, error) {
 // SolveContext implements ContextSolver.
 func (a Approx125) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
 	fn := func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
-		return approxComponentOrder(ctx, cg, sp, a.SkipTwinElimination, a.Materialize)
+		return approxComponentOrder(ctx, cg, sp, a.SkipTwinElimination)
 	}
 	// Two literal call sites so the span name stays a compile-time
 	// constant either way.
@@ -88,14 +79,9 @@ func (a Approx125) SolveContext(ctx context.Context, g *graph.Graph) (core.Schem
 	return solvePerComponent(ctx, g, nameApprox, fn)
 }
 
-func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins, materialize bool) ([]int, error) {
+func approxComponentOrder(ctx context.Context, cg *graph.Graph, sp *obs.Span, skipTwins bool) ([]int, error) {
 	lgSpan := sp.Start("line_graph")
-	var lg graph.Adjacency
-	if materialize {
-		lg = graph.LineGraphReference(cg)
-	} else {
-		lg = graph.NewLineGraphView(cg)
-	}
+	lg := graph.NewLineGraphView(cg)
 	lgSpan.End()
 	partStart := obs.Now()
 	partSpan := sp.Start("path_partition")
@@ -135,14 +121,18 @@ func pathPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
 	ar := newApproxArena(n)
 	aliveCount := n
 	for v := 0; v < n; v++ {
-		ar.alive.Set(v)
+		ar.alive[v] = true
 	}
 	t := spanningTree{lg: lg, ar: ar}
 	var pieces [][]int
+	// Each DFS is rooted at the lowest alive vertex. Vertices only die,
+	// so the cursor only moves forward.
+	root := 0
 	for aliveCount > 0 {
-		// Root the DFS at the lowest alive vertex.
-		root := ar.alive.NextSet(0)
-		if root < 0 {
+		for root < n && !ar.alive[root] {
+			root++
+		}
+		if root == n {
 			return nil, fmt.Errorf("solver: alive count %d but no alive vertex", aliveCount)
 		}
 		if aliveCount < 4 {
@@ -167,7 +157,7 @@ func pathPartition(lg graph.Adjacency, skipTwins bool) ([][]int, error) {
 			return nil, err
 		}
 		for _, v := range path {
-			ar.alive.Clear(v)
+			ar.alive[v] = false
 			aliveCount--
 		}
 		pieces = append(pieces, path)
@@ -198,7 +188,7 @@ type approxArena struct {
 	size   []int      // subtree sizes, valid after subtreeSizes
 	order  []int      // preorder scratch for subtreeSizes
 	stack  []dfsFrame // DFS frames for rebuild
-	alive  bitset.Bitset
+	alive  []bool
 	nb     []int // DFS neighbor scratch, stack-disciplined spans
 }
 
@@ -210,7 +200,7 @@ func newApproxArena(n int) *approxArena {
 		size:   make([]int, n),
 		order:  make([]int, n),
 		stack:  make([]dfsFrame, n),
-		alive:  bitset.New(n),
+		alive:  make([]bool, n),
 	}
 }
 
@@ -246,7 +236,7 @@ func (t *spanningTree) rebuild(root int) error {
 		for f.next < f.end {
 			w := ar.nb[f.next]
 			f.next++
-			if ar.alive.Test(w) && ar.parent[w] == -2 {
+			if ar.alive[w] && ar.parent[w] == -2 {
 				ar.parent[w] = f.v
 				if !t.addChild(f.v, w) {
 					return fmt.Errorf("solver: node %d has > 2 children in claw-free DFS tree", f.v)
@@ -481,10 +471,10 @@ func (t *spanningTree) subtreeAsPath(r int) ([]int, error) {
 // hamPathSmall finds a Hamiltonian path over the <= 3 alive vertices
 // (any connected graph on at most 3 vertices has one), starting the
 // search at root's component.
-func hamPathSmall(lg graph.Adjacency, alive bitset.Bitset, count, root int) ([]int, bool) {
+func hamPathSmall(lg graph.Adjacency, alive []bool, count, root int) ([]int, bool) {
 	var verts []int
 	for v := 0; v < lg.N(); v++ {
-		if alive.Test(v) {
+		if alive[v] {
 			verts = append(verts, v)
 		}
 	}

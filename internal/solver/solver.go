@@ -98,15 +98,6 @@ var (
 // TestParallelSolveMatchesSequential).
 var Parallelism = 0
 
-// The claw-scan kernel honors the same knob: internal/graph cannot
-// import the solver layer, so the worker count crosses the boundary
-// through this hook. Zero and one mean what they mean here (GOMAXPROCS
-// resp. sequential); the kernel's first-claw result is deterministic at
-// any setting.
-func init() {
-	graph.ClawScanWorkers = func() int { return Parallelism }
-}
-
 func workerCount(jobs int) int {
 	w := Parallelism
 	if w <= 0 {
