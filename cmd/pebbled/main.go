@@ -34,6 +34,7 @@ import (
 
 	"joinpebble/internal/engine/cmdutil"
 	"joinpebble/internal/serve"
+	"joinpebble/internal/tsp"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "per-request solve deadline cap")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight solves on shutdown")
 	rungFraction := flag.Float64("rung-fraction", 0, "share of the remaining deadline a non-final ladder rung may spend (0 = engine default)")
-	exactLimit := flag.Int("exact-limit", 0, "exact-rung per-component edge cap (0 = solver default)")
+	exactLimit := flag.Int("exact-limit", 0, fmt.Sprintf("exact-rung per-component edge cap, at most %d (0 = solver default)", tsp.MaxExactCities))
 	obsFlags := cmdutil.BindFlags(flag.CommandLine, "pebbled", true)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pebbled [flags]\nserves the joinpebble /v1 API until SIGINT/SIGTERM, then drains\n")
@@ -57,6 +58,9 @@ func main() {
 	}
 	if flag.NArg() != 0 {
 		cmdutil.Exit("pebbled", cmdutil.Usagef("unexpected arguments %v", flag.Args()))
+	}
+	if err := checkExactLimit(*exactLimit); err != nil {
+		cmdutil.Exit("pebbled", err)
 	}
 
 	srv, err := serve.Start(serve.Config{
@@ -87,4 +91,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pebbled: drained")
 	}
 	cmdutil.Exit("pebbled", err)
+}
+
+// checkExactLimit rejects an -exact-limit the exact rung cannot honour:
+// negative, or above tsp.MaxExactCities, the most cities the exact DP
+// takes.
+func checkExactLimit(limit int) error {
+	if limit < 0 || limit > tsp.MaxExactCities {
+		return cmdutil.Usagef("-exact-limit %d outside [0, %d]", limit, tsp.MaxExactCities)
+	}
+	return nil
 }

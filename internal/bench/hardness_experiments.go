@@ -32,7 +32,7 @@ func E10Hardness() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("spider-%d", n), g.M(), "exact (Held-Karp)", obs.Since(start).Round(time.Microsecond).String(), cost)
+		t.AddRow(fmt.Sprintf("spider-%d", n), g.M(), "exact (subset DP)", obs.Since(start).Round(time.Microsecond).String(), cost)
 	}
 	for _, k := range []int{40, 400, 1200} {
 		g := graph.CompleteBipartite(k, k/4).Graph()
@@ -44,7 +44,7 @@ func E10Hardness() (*Table, error) {
 		t.AddRow(fmt.Sprintf("K(%d,%d)", k, k/4), g.M(), "equijoin (linear)", obs.Since(start).Round(time.Microsecond).String(), cost)
 	}
 	t.Notes = append(t.Notes,
-		"exact time grows exponentially in m (Held–Karp over line-graph subsets); the equijoin solver handles 100x more edges in comparable time")
+		"exact time grows exponentially in m (a DP over line-graph subsets); the equijoin solver handles 100x more edges in comparable time")
 	return t, nil
 }
 

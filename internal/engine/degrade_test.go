@@ -12,6 +12,7 @@ import (
 	"joinpebble/internal/family"
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/solver"
+	"joinpebble/internal/tsp"
 )
 
 // spiderInstance is the standing non-equijoin test instance: Spider G_3
@@ -23,7 +24,7 @@ func spiderInstance() *Instance {
 
 // budgetFault is the deterministic lever the degradation tests pull: a
 // wrapped budget sentinel injected at the engine's rung site, so the
-// planned rung fails exactly the way a real Held–Karp budget trip does.
+// planned rung fails exactly the way a real exact-solver budget trip does.
 func budgetFault(times int) faultinject.Fault {
 	return faultinject.Fault{
 		Err:   fmt.Errorf("%w: injected for test", solver.ErrBudgetExceeded),
@@ -229,5 +230,39 @@ func TestExplicitSolverStillDegrades(t *testing.T) {
 	}
 	if !res.Degraded || res.Attempts[0].Solver != "exact-bnb" {
 		t.Fatalf("override rung provenance wrong: %+v", res.Attempts)
+	}
+}
+
+// TestExactLimitAboveCapStillSolves: an ExactLimit above
+// tsp.MaxExactCities must not turn a component the exact DP cannot take
+// into a hard failure. The limit is clamped, so the planner routes a
+// 24-edge spider to the approximation rung; an explicit exact solver
+// with the same over-cap limit trips the budget sentinel and degrades.
+func TestExactLimitAboveCapStillSolves(t *testing.T) {
+	in := FromBipartite("spider", family.Spider(12))
+	if m := in.Graph().M(); m <= tsp.MaxExactCities || m > 30 {
+		t.Fatalf("spider has %d edges, want one component in (%d, 30]", m, tsp.MaxExactCities)
+	}
+	ctx := context.Background()
+
+	p := Planner{ExactLimit: 30}
+	res, err := p.Run(ctx, in)
+	if err != nil {
+		t.Fatalf("ExactLimit 30 on a %d-edge spider: %v", in.Graph().M(), err)
+	}
+	if res.Route != solver.RouteApprox || res.Solver != "approx-1.25" {
+		t.Fatalf("route %v solver %q, want approx / approx-1.25", res.Route, res.Solver)
+	}
+
+	p = Planner{ExactLimit: 30, Solver: solver.Exact{MaxEdges: 30}}
+	res, err = p.Run(ctx, in)
+	if err != nil {
+		t.Fatalf("explicit exact solver with MaxEdges 30: %v", err)
+	}
+	if !res.Degraded || res.Solver != "approx-1.25" {
+		t.Fatalf("degraded=%v solver %q, want a degraded approx-1.25 result", res.Degraded, res.Solver)
+	}
+	if first := res.Attempts[0]; first.Solver != "exact" || !strings.Contains(first.Err, solver.ErrBudgetExceeded.Error()) {
+		t.Fatalf("first attempt %+v, want exact failing with the budget sentinel", first)
 	}
 }

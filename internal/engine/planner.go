@@ -76,7 +76,7 @@ type Attempt struct {
 // engine-routed solves are byte-identical to direct Auto solves.
 type Planner struct {
 	// ExactLimit caps the exact rung's per-component edge count; zero
-	// means tsp.MaxExactCities.
+	// means tsp.MaxExactCities, and larger caps are clamped to it.
 	ExactLimit int
 	// Solver, when non-nil, overrides routing: every instance goes to
 	// this solver regardless of structure (the CLI -solver flag).

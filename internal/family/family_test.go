@@ -81,7 +81,7 @@ func TestSpiderLineGraphIsCliquePlusPendants(t *testing.T) {
 
 func TestSpiderOptimalCostAgainstExactTSP(t *testing.T) {
 	// Proposition 2.2: π(G) = optimal tour cost of L(G) + 1. Check the
-	// closed form against Held–Karp for every n the solver can reach.
+	// closed form against the exact TSP DP for every n the solver can reach.
 	for n := 1; n <= 9; n++ {
 		lg := graph.LineGraph(Spider(n).Graph())
 		_, cost, err := tsp.Exact(tsp.NewInstance(lg))

@@ -89,7 +89,8 @@ type Config struct {
 	// spend. 0 means the engine default (0.5).
 	RungFraction float64
 	// ExactLimit caps the exact rung's per-component edge count
-	// (engine.Planner.ExactLimit); 0 means the solver default.
+	// (engine.Planner.ExactLimit); 0 means the solver default, and caps
+	// above tsp.MaxExactCities are clamped to it.
 	ExactLimit int
 	// MaxBody caps request body size in bytes; 0 means 1MiB.
 	MaxBody int64

@@ -18,7 +18,7 @@ import (
 // MaxEdges are rejected.
 type Exact struct {
 	// MaxEdges caps the per-component edge count (the TSP city count).
-	// Zero means tsp.MaxExactCities.
+	// Zero means tsp.MaxExactCities, as does anything above it.
 	MaxEdges int
 }
 
@@ -32,10 +32,7 @@ func (e Exact) Solve(g *graph.Graph) (core.Scheme, error) {
 
 // SolveContext implements ContextSolver.
 func (e Exact) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme, error) {
-	limit := e.MaxEdges
-	if limit == 0 {
-		limit = tsp.MaxExactCities
-	}
+	limit := normalizeExactLimit(e.MaxEdges)
 	return solvePerComponent(ctx, g, "exact", func(ctx context.Context, cg *graph.Graph, sp *obs.Span) ([]int, error) {
 		if err := faultinject.Fire(SiteExactBudget); err != nil {
 			return nil, err

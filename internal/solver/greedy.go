@@ -120,11 +120,11 @@ func (CycleCover) SolveContext(ctx context.Context, g *graph.Graph) (core.Scheme
 	})
 }
 
-// ExactBnB is an exact solver using branch-and-bound instead of
-// Held–Karp: slower in the worst case but without the 2^m memory, so it
-// reaches somewhat larger sparse components. MaxNodes caps the search
-// per component (0 = unlimited); hitting the cap is an error, not a
-// silent approximation — unless Anytime is set.
+// ExactBnB is an exact solver using branch-and-bound instead of the
+// subset DP: slower in the worst case but without the 4·2^m-byte table,
+// so it reaches somewhat larger sparse components. MaxNodes caps the
+// search per component (0 = unlimited); hitting the cap is an error, not
+// a silent approximation — unless Anytime is set.
 type ExactBnB struct {
 	MaxNodes int64
 	// Anytime accepts the search's best-so-far incumbent tour when the
@@ -181,7 +181,7 @@ const (
 	// pebbler of Theorems 3.2/4.1 applies and π = m is achieved.
 	RoutePerfect Route = iota
 	// RouteExact: every component's edge count fits the exponential
-	// search budget, so the Held–Karp exact solver is affordable.
+	// search budget, so the exact subset-DP solver is affordable.
 	RouteExact
 	// RouteApprox: fall back to the Theorem 3.1 1.25-approximation,
 	// polynomial on any input.
@@ -203,9 +203,9 @@ func (r Route) String() string {
 
 // PlanRoute classifies g onto the ladder by walking RouteTable in
 // order. exactLimit caps the exact rung's per-component edge count;
-// zero means tsp.MaxExactCities. The classification is purely
-// structural (no solving happens), costing one bipartition check plus
-// one component scan.
+// zero means tsp.MaxExactCities, and larger caps are clamped to it. The
+// classification is purely structural (no solving happens), costing one
+// bipartition check plus one component scan.
 func PlanRoute(g *graph.Graph, exactLimit int) Route {
 	exactLimit = normalizeExactLimit(exactLimit)
 	table := RouteTable()
@@ -230,7 +230,7 @@ func RouteSolver(r Route, exactLimit int) Solver {
 // by default.
 type Auto struct {
 	// ExactLimit caps the exact solver's per-component edge count; zero
-	// means tsp.MaxExactCities.
+	// means tsp.MaxExactCities, and larger caps are clamped to it.
 	ExactLimit int
 }
 

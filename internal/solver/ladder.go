@@ -261,8 +261,14 @@ func routeSpec(r Route) RouteSpec {
 // table PlanRoute classifies with.
 func RouteReason(r Route) string { return routeSpec(r).Reason }
 
+// normalizeExactLimit resolves an exact-rung edge cap: zero means
+// tsp.MaxExactCities, and a cap above it is clamped to it, since the
+// exact DP rejects larger instances outright — without the clamp such a
+// component would plan onto the exact rung and fail there with an error
+// the ladder cannot degrade on. Negative caps pass through (nothing
+// fits the exact rung).
 func normalizeExactLimit(exactLimit int) int {
-	if exactLimit == 0 {
+	if exactLimit == 0 || exactLimit > tsp.MaxExactCities {
 		return tsp.MaxExactCities
 	}
 	return exactLimit

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"joinpebble/internal/faultinject"
 	"joinpebble/internal/obs"
@@ -25,8 +26,8 @@ var (
 // pushes a deadline past expiry mid-component — the scenario the engine's
 // degradation ladder must survive.
 const (
-	// SiteExactExpand fires every checkpointMask+1 Held–Karp subset
-	// expansions; an injected error aborts the search with that error.
+	// SiteExactExpand fires every checkpointMask+1 subsets the exact
+	// DP resolves; an injected error aborts the search with that error.
 	SiteExactExpand = "tsp/exact/expand"
 	// SiteBnBExpand fires every checkpointMask+1 branch-and-bound node
 	// expansions; an injected error aborts the search as if canceled,
@@ -40,25 +41,52 @@ const (
 // instead of only at component boundaries.
 const checkpointMask = 0x3FF
 
-// MaxExactCities bounds the Held–Karp solver: the DP table has
-// 2^n * n uint16 entries, so 24 cities ≈ 800 MB is the practical ceiling;
-// we stop well short of it.
+// MaxExactCities bounds the exact solver. Its table holds one uint32
+// per subset of cities, 4·2^n bytes (16 MiB at 22 cities), and a solve
+// resolves n·2^(n−1) (subset, endpoint) pairs. The packed row layout
+// needs n ≤ jumpShift.
 const MaxExactCities = 22
 
-// Exact computes an optimal tour by Held–Karp dynamic programming over
-// vertex subsets: dp[S][v] = cheapest path visiting exactly the cities in
-// S and ending at v. O(2^n · n²) time, O(2^n · n) space. It returns an
-// error for instances above MaxExactCities; callers should fall back to
-// BranchAndBound or a heuristic.
+// A DP row packs one subset S: the low jumpShift bits hold A0(S), the
+// cities a fewest-jump path covering S can end at; the bits above hold
+// j*(S), that fewest jump count.
+const (
+	jumpShift = 24
+	endsMask  = 1<<jumpShift - 1
+)
+
+// Rows must leave room for every city's bit below the jump count.
+const _ = uint(jumpShift - MaxExactCities)
+
+// Exact computes an optimal tour by a dynamic program over city subsets
+// that exploits the weights being only 1 and 2 (Proposition 2.2). For a
+// subset S let j*(S) be the fewest jumps of any path covering S, and
+// A0(S) the cities such a path can end at. Every other city of S ends
+// some covering path with j*(S)+1 jumps: cut the best path x1…xk at
+// xi = v and append the tail reversed, x1…x(i−1) xk…x(i+1) xi, which
+// adds at most the one step x(i−1)→xk. So the best path covering
+// T = S ∪ {u} and ending at u has
+//
+//	j*(S) + [A0(S) ∩ nbr(u) = ∅]
+//
+// jumps, and one packed word per subset (see jumpShift) is the whole
+// table: O(2^n · n) word operations, 4·2^n bytes. The tour is rebuilt
+// backward from the rows alone, breaking ties toward the lowest city as
+// Held–Karp's first strict minimum does, so the tour is the one
+// Held–Karp over dp[S][v] would return, not just one of equal cost.
+// It returns an error for instances above MaxExactCities; callers
+// should fall back to BranchAndBound or a heuristic.
 func Exact(in *Instance) (Tour, int, error) {
 	return ExactContext(context.Background(), in)
 }
 
 // ExactContext is Exact bounded by ctx: the subset loop checks ctx at
-// every checkpoint (checkpointMask+1 subset expansions), so cancellation
-// unwinds promptly even inside one huge component. Held–Karp has no
-// usable partial answer — a canceled search returns ctx.Err() and the
-// caller is expected to fall down the solver ladder.
+// every checkpoint (checkpointMask+1 subsets), so cancellation unwinds
+// promptly even inside one huge component. The DP has no usable
+// partial answer — a canceled search returns ctx.Err() and the caller
+// is expected to fall down the solver ladder. The
+// tsp/heldkarp/states_expanded counter keeps its Held–Karp meaning: one
+// per (subset, endpoint) pair resolved, n·2^(n−1) for a full solve.
 func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
 	n := in.N()
 	if n == 0 {
@@ -71,28 +99,15 @@ func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
 		return nil, 0, fmt.Errorf("tsp: %d cities exceeds exact limit %d", n, MaxExactCities)
 	}
 
-	const inf = math.MaxUint16
-	size := 1 << n
-	dp := make([]uint16, size*n)
-	parent := make([]int8, size*n)
-	for i := range dp {
-		dp[i] = inf
-	}
-	for v := 0; v < n; v++ {
-		dp[(1<<v)*n+v] = 0
-		parent[(1<<v)*n+v] = -1
-	}
-
-	// Precompute weights into a flat matrix for speed.
-	w := make([]uint16, n*n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				w[u*n+v] = uint16(in.Weight(u, v))
-			}
+	nbr := make([]uint32, n)
+	for v := range nbr {
+		for _, u := range in.Good.Neighbors(v) {
+			nbr[v] |= 1 << u
 		}
 	}
 
+	size := 1 << n
+	rows := make([]uint32, size)
 	var states int64
 	for s := 1; s < size; s++ {
 		if s&checkpointMask == 0 {
@@ -105,52 +120,53 @@ func ExactContext(ctx context.Context, in *Instance) (Tour, int, error) {
 				return nil, 0, err
 			}
 		}
-		base := s * n
-		for v := 0; v < n; v++ {
-			cur := dp[base+v]
-			if cur == inf || s&(1<<v) == 0 {
-				continue
+		set := uint32(s)
+		states += int64(bits.OnesCount32(set))
+		if set&(set-1) == 0 {
+			rows[s] = set // one city: no jumps, ends where it starts
+			continue
+		}
+		best, ends := uint32(math.MaxUint32), uint32(0)
+		for rest := set; rest != 0; rest &= rest - 1 {
+			u := bits.TrailingZeros32(rest)
+			prev := rows[set&^(1<<u)]
+			j := prev >> jumpShift
+			if prev&nbr[u] == 0 {
+				j++
 			}
-			states++
-			for u := 0; u < n; u++ {
-				if s&(1<<u) != 0 {
-					continue
-				}
-				ns := s | 1<<u
-				cand := cur + w[v*n+u]
-				if cand < dp[ns*n+u] {
-					dp[ns*n+u] = cand
-					parent[ns*n+u] = int8(v)
-				}
+			switch {
+			case j < best:
+				best, ends = j, 1<<u
+			case j == best:
+				ends |= 1 << u
 			}
 		}
+		rows[s] = best<<jumpShift | ends
 	}
-
 	cHeldKarpStates.Add(ctx, states)
 
-	full := size - 1
-	best, bestEnd := uint16(inf), -1
-	for v := 0; v < n; v++ {
-		if dp[full*n+v] < best {
-			best = dp[full*n+v]
-			bestEnd = v
+	// Walk back from the lowest optimal endpoint. The predecessor of v
+	// is the lowest city of S = T∖{v} that Held–Karp's dp[S][·] + w(·,v)
+	// is minimal at: a good neighbour in A0(S) if there is one, else any
+	// city of A0(S) or a good neighbour outside it, all at j*(S)+1.
+	full := uint32(size - 1)
+	tour := make(Tour, n)
+	set := full
+	v := bits.TrailingZeros32(rows[full] & endsMask)
+	for i := n - 1; ; i-- {
+		tour[i] = v
+		set &^= 1 << v
+		if set == 0 {
+			break
 		}
+		ends := rows[set] & endsMask
+		p := ends & nbr[v]
+		if p == 0 {
+			p = ends | set&^ends&nbr[v]
+		}
+		v = bits.TrailingZeros32(p)
 	}
-
-	// Reconstruct.
-	tour := make(Tour, 0, n)
-	s, v := full, bestEnd
-	for v != -1 {
-		tour = append(tour, v)
-		p := int(parent[s*n+v])
-		s &^= 1 << v
-		v = p
-	}
-	// Reverse into visit order.
-	for i, j := 0, len(tour)-1; i < j; i, j = i+1, j-1 {
-		tour[i], tour[j] = tour[j], tour[i]
-	}
-	return tour, int(best), nil
+	return tour, n - 1 + int(rows[full]>>jumpShift), nil
 }
 
 // BranchAndBound computes an optimal tour by depth-first search with
